@@ -33,7 +33,7 @@
 use bytes::Bytes;
 use sitra_cluster::{HashRing, ShardKey, DEFAULT_SEED, DEFAULT_VNODES};
 use sitra_dataspaces::{
-    AutoscaleConfig, Autoscaler, Lease, LocalityPlacement, ResidencyHint, ScaleDecision, Scheduler,
+    pool, AutoscaleConfig, Autoscaler, Lease, LocalityPlacement, ResidencyHint, Scheduler,
     DEFAULT_TENANT,
 };
 use sitra_mesh::BBox3;
@@ -205,8 +205,8 @@ fn run_autoscale(burst: usize, steady: usize, elastic: bool) -> (u64, usize) {
     )]));
     sched.set_pool_target(Some(cfg.min_buckets));
 
-    // The elastic controller: the same decide→grow/drain loop the
-    // in-process staging backend runs, at a bench-friendly tick.
+    // The elastic controller: the same `pool::tick` the in-process
+    // staging backend and `sitra-staged` run, at a bench-friendly tick.
     let stop = Arc::new(AtomicBool::new(false));
     let peak = Arc::new(Mutex::new(1usize));
     let controller = elastic.then(|| {
@@ -225,31 +225,18 @@ fn run_autoscale(burst: usize, steady: usize, elastic: bool) -> (u64, usize) {
                     let mut p = peak.lock().expect("peak");
                     *p = (*p).max(snap.buckets);
                 }
-                match scaler.decide(&snap) {
-                    ScaleDecision::Grow(k) => {
-                        let mut pool = workers.lock().expect("workers");
-                        for _ in 0..k {
-                            pool.push(spawn_bucket(
-                                sched.clone(),
-                                next_id,
-                                None,
-                                Some((Arc::clone(&waits), t0)),
-                            ));
-                            next_id += 1;
-                        }
-                        sched.set_pool_target(Some(snap.buckets + k));
+                pool::tick(&sched, &mut scaler, &mut |k| {
+                    let mut pool = workers.lock().expect("workers");
+                    for _ in 0..k {
+                        pool.push(spawn_bucket(
+                            sched.clone(),
+                            next_id,
+                            None,
+                            Some((Arc::clone(&waits), t0)),
+                        ));
+                        next_id += 1;
                     }
-                    ScaleDecision::Shrink(k) => {
-                        let mut drained = 0;
-                        for _ in 0..k {
-                            if sched.drain_one_bucket().is_some() {
-                                drained += 1;
-                            }
-                        }
-                        sched.set_pool_target(Some(snap.buckets.saturating_sub(drained).max(1)));
-                    }
-                    ScaleDecision::Hold => {}
-                }
+                });
             }
         })
     });

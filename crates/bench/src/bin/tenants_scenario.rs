@@ -136,7 +136,7 @@ fn run_once(opts: &Opts, iter: u32) -> IterOutcome {
     // against a neighbour sitting at its quota.
     let (mut admitted, mut rejected) = (0usize, 0usize);
     for _ in 0..HOG_SUBMITS {
-        match hog.submit_task_admission(stamp(&t0)).expect("hog submit") {
+        match hog.submit_task(stamp(&t0), Vec::new()).expect("hog submit") {
             Admission::Accepted { .. } | Admission::AcceptedShed { .. } => admitted += 1,
             Admission::Rejected | Admission::TimedOut => rejected += 1,
             Admission::Closed => panic!("scheduler closed mid-bench"),
@@ -162,10 +162,13 @@ fn run_once(opts: &Opts, iter: u32) -> IterOutcome {
                 conn.set_tenant(&TenantSpec::new(tenant_name(i)).with_weight(tenant_weight(i)))
                     .expect("producer set_tenant");
                 for _ in 0..tasks {
-                    conn.submit_task(bytes::Bytes::from(
-                        (t0.elapsed().as_nanos() as u64).to_le_bytes().to_vec(),
-                    ))
-                    .expect("producer submit");
+                    conn.submit_task(
+                        bytes::Bytes::from((t0.elapsed().as_nanos() as u64).to_le_bytes().to_vec()),
+                        Vec::new(),
+                    )
+                    .expect("producer submit")
+                    .seq()
+                    .expect("producer task admitted");
                 }
             })
         })
@@ -181,7 +184,7 @@ fn run_once(opts: &Opts, iter: u32) -> IterOutcome {
     let mut order: Vec<(String, u64)> = Vec::with_capacity(total);
     while order.len() < total {
         match worker
-            .request_task(0, Duration::from_millis(100))
+            .request_task(0, Duration::from_millis(100), "")
             .expect("request_task")
         {
             TaskPoll::Assigned { data, tenant, .. } => {

@@ -253,24 +253,11 @@ impl ClusterClient {
         Ok(latest)
     }
 
-    /// Submit a task to the member owning `(route, step)`, falling over
-    /// to the next members in ring order when the owner is unreachable.
-    /// Returns the serving member's index along with the admission
-    /// verdict.
-    pub fn submit_task_routed(
-        &self,
-        route: &str,
-        step: u64,
-        data: Bytes,
-    ) -> Result<(usize, Admission), RemoteError> {
-        self.submit_task_routed_hinted(route, step, data, Vec::new())
-    }
-
     /// Where a task's input bytes live: fold each part's ring owner
     /// into an `(endpoint, bytes)` residency map. The same pure ring
     /// placement that routed the `put`s, so the map reflects where the
     /// pieces actually landed without asking any server. Feed the
-    /// result to [`ClusterClient::submit_task_routed_hinted`] so a
+    /// result to [`ClusterClient::submit_task_routed`] so a
     /// locality-aware scheduler can steer the task toward a bucket
     /// co-located with the heaviest shard.
     pub fn residency_hint(
@@ -291,11 +278,13 @@ impl ClusterClient {
             .collect()
     }
 
-    /// [`ClusterClient::submit_task_routed`] carrying an `(endpoint,
-    /// bytes)` residency hint (see [`ClusterClient::residency_hint`]).
-    /// An empty hint degenerates to the plain submission verb on the
-    /// wire, so FCFS-only servers see byte-identical traffic.
-    pub fn submit_task_routed_hinted(
+    /// Submit a task to the member owning `(route, step)`, falling over
+    /// to the next members in ring order when the owner is unreachable.
+    /// `hint` is an `(endpoint, bytes)` residency map (see
+    /// [`ClusterClient::residency_hint`]); FCFS servers ignore it.
+    /// Returns the serving member's index along with the admission
+    /// verdict.
+    pub fn submit_task_routed(
         &self,
         route: &str,
         step: u64,
@@ -311,11 +300,7 @@ impl ClusterClient {
         for k in 0..n {
             let idx = (owner + k) % n;
             match self.members[idx].with(&self.backoff, self.tenant.as_ref(), |c| {
-                if hint.is_empty() {
-                    c.submit_task_admission(data.clone())
-                } else {
-                    c.submit_task_hinted(data.clone(), hint.clone())
-                }
+                c.submit_task(data.clone(), hint.clone())
             }) {
                 Ok(adm) => return Ok((idx, adm)),
                 Err(e) => last_err = Some(e),
@@ -324,25 +309,13 @@ impl ClusterClient {
         Err(last_err.unwrap_or_else(|| RemoteError::Proto("no members".into())))
     }
 
-    /// Ask one member for a task assignment (bucket-worker side). The
-    /// two-phase receipt acknowledgement happens inside the underlying
-    /// call.
+    /// Ask one member for a task assignment (bucket-worker side),
+    /// declaring the bucket's home endpoint `location` so a
+    /// locality-aware scheduler on the polled member can prefer this
+    /// bucket for tasks whose input is resident there; an empty
+    /// `location` leaves the bucket unlocated. The two-phase receipt
+    /// acknowledgement happens inside the underlying call.
     pub fn request_task(
-        &self,
-        member_idx: usize,
-        bucket_id: u32,
-        timeout: Duration,
-    ) -> Result<TaskPoll, RemoteError> {
-        self.members[member_idx].with(&self.backoff, self.tenant.as_ref(), |c| {
-            c.request_task(bucket_id, timeout)
-        })
-    }
-
-    /// [`ClusterClient::request_task`] declaring the bucket's home
-    /// endpoint, so a locality-aware scheduler on the polled member can
-    /// prefer this bucket for tasks whose input is resident there. An
-    /// empty `location` leaves the bucket unlocated.
-    pub fn request_task_located(
         &self,
         member_idx: usize,
         bucket_id: u32,
@@ -350,7 +323,7 @@ impl ClusterClient {
         location: &str,
     ) -> Result<TaskPoll, RemoteError> {
         self.members[member_idx].with(&self.backoff, self.tenant.as_ref(), |c| {
-            c.request_task_located(bucket_id, timeout, location)
+            c.request_task(bucket_id, timeout, location)
         })
     }
 

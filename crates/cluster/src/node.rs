@@ -696,7 +696,7 @@ fn forward_backlog(state: &Arc<NodeState>, survivors: &[String]) {
                     }
                     bound[j] = Some(tenant.clone());
                 }
-                if matches!(c.submit_task_admission(task.clone()), Ok(verdict) if verdict.seq().is_some())
+                if matches!(c.submit_task(task.clone(), Vec::new()), Ok(verdict) if verdict.seq().is_some())
                 {
                     delivered = true;
                     break;

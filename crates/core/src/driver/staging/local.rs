@@ -19,9 +19,9 @@
 use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBackend};
 use bytes::Bytes;
 use sitra_dart::{Endpoint, EndpointId, Event, Fabric, RegionKey};
-use sitra_dataspaces::{AutoscaleConfig, Autoscaler, BucketHandle, ScaleDecision, Scheduler};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use sitra_dataspaces::{pool, AutoscaleConfig, BucketHandle, Scheduler};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const CAPS: BackendCaps = BackendCaps {
@@ -44,20 +44,6 @@ fn region_key(analysis_idx: usize, step: u64) -> RegionKey {
     ((analysis_idx as u64 + 1) << 40) | (step & ((1 << 40) - 1))
 }
 
-/// How often the capacity controller re-evaluates the pool. Short
-/// enough that a backlog burst is answered within a few SLO windows at
-/// laptop scale; the [`Autoscaler`]'s sustain hysteresis keeps the
-/// short tick from thrashing.
-const AUTOSCALE_TICK: Duration = Duration::from_millis(20);
-
-/// The worker fleet shared between the backend and its capacity
-/// controller: spawned bucket threads (joined at close) and the next
-/// fresh bucket id.
-struct Fleet {
-    workers: Vec<std::thread::JoinHandle<()>>,
-    next_id: u32,
-}
-
 /// In-process staging buckets fed through the scheduler and the DART
 /// fabric (the default hybrid backend). With
 /// [`crate::PipelineConfig::with_bucket_autoscale`] the pool is
@@ -67,9 +53,11 @@ pub struct LocalBackend {
     ctx: RetireCtx,
     scheduler: Scheduler<TaskDesc>,
     rank_endpoints: Vec<Endpoint>,
-    fleet: Arc<Mutex<Fleet>>,
-    controller: Option<std::thread::JoinHandle<()>>,
-    controller_stop: Arc<AtomicBool>,
+    /// The bucket threads started with the backend.
+    workers: Vec<JoinHandle<()>>,
+    /// The capacity controller ([`pool::run_controller`]); it returns
+    /// the bucket threads it spawned once the scheduler closes.
+    controller: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     /// Buckets signal here once per task retired (completed or
     /// dropped), so [`drain`](StagingBackend::drain) blocks instead of
     /// polling.
@@ -89,7 +77,7 @@ fn spawn_bucket(
     ctx: &RetireCtx,
     done_tx: &crossbeam::channel::Sender<()>,
     b: u32,
-) -> std::thread::JoinHandle<()> {
+) -> JoinHandle<()> {
     let bucket = scheduler.register_bucket(b);
     let ep = fabric.register();
     let ctx = ctx.clone();
@@ -123,23 +111,27 @@ impl LocalBackend {
         let workers: Vec<_> = (0..initial)
             .map(|b| spawn_bucket(&scheduler, fabric, &ctx, &done_tx, b as u32))
             .collect();
-        let fleet = Arc::new(Mutex::new(Fleet {
-            workers,
-            next_id: initial as u32,
-        }));
-        let controller_stop = Arc::new(AtomicBool::new(false));
         let controller = autoscale.map(|cfg| {
             scheduler.set_pool_target(Some(cfg.min_buckets));
             let scheduler = scheduler.clone();
             let fabric = Arc::clone(fabric);
             let ctx = ctx.clone();
             let done_tx = done_tx.clone();
-            let fleet = Arc::clone(&fleet);
-            let stop = Arc::clone(&controller_stop);
             std::thread::Builder::new()
                 .name("bucket-autoscaler".into())
                 .spawn(move || {
-                    controller_loop(cfg, &scheduler, &fabric, &ctx, &done_tx, &fleet, &stop)
+                    // Growth spawns fresh bucket threads; shrinkage is a
+                    // drain, after which the bucket retires itself on its
+                    // next lease.
+                    let mut spawned = Vec::new();
+                    let mut next_id = initial as u32;
+                    pool::run_controller(&scheduler, cfg, |k| {
+                        for b in next_id..next_id + k as u32 {
+                            spawned.push(spawn_bucket(&scheduler, &fabric, &ctx, &done_tx, b));
+                        }
+                        next_id += k as u32;
+                    });
+                    spawned
                 })
                 .expect("spawn autoscaler")
         });
@@ -152,82 +144,13 @@ impl LocalBackend {
             ctx,
             scheduler,
             rank_endpoints,
-            fleet,
+            workers,
             controller,
-            controller_stop,
             done_rx,
             done_tx,
             buffer_depth,
             outstanding: 0,
             submitted: 0,
-        }
-    }
-}
-
-/// The capacity controller: tick, snapshot the pool, apply the
-/// [`Autoscaler`]'s verdict. Growth spawns fresh bucket threads;
-/// shrinkage drains the most dispensable bucket (idle preferred) and
-/// lets its thread retire itself on the next lease. Every scale action
-/// lands in the journal as a `pool.scale` event so `sitra-bench` replay
-/// can reconstruct the capacity timeline.
-fn controller_loop(
-    cfg: AutoscaleConfig,
-    scheduler: &Scheduler<TaskDesc>,
-    fabric: &Arc<Fabric>,
-    ctx: &RetireCtx,
-    done_tx: &crossbeam::channel::Sender<()>,
-    fleet: &Arc<Mutex<Fleet>>,
-    stop: &AtomicBool,
-) {
-    let mut scaler = Autoscaler::new(cfg);
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(AUTOSCALE_TICK);
-        let snap = scheduler.pool_snapshot();
-        match scaler.decide(&snap) {
-            ScaleDecision::Hold => {}
-            ScaleDecision::Grow(k) => {
-                let mut f = fleet.lock().expect("fleet lock");
-                for _ in 0..k {
-                    let b = f.next_id;
-                    f.next_id += 1;
-                    let h = spawn_bucket(scheduler, fabric, ctx, done_tx, b);
-                    f.workers.push(h);
-                }
-                scheduler.set_pool_target(Some(snap.buckets + k));
-                sitra_obs::emit(
-                    "sched",
-                    "pool.scale",
-                    &[
-                        ("action", "grow".to_string()),
-                        ("delta", k.to_string()),
-                        ("buckets", (snap.buckets + k).to_string()),
-                        ("queue_depth", snap.queue_depth.to_string()),
-                        ("p99_us", snap.p99_wait.as_micros().to_string()),
-                    ],
-                );
-            }
-            ScaleDecision::Shrink(k) => {
-                let mut drained = 0usize;
-                for _ in 0..k {
-                    if scheduler.drain_one_bucket().is_some() {
-                        drained += 1;
-                    }
-                }
-                if drained > 0 {
-                    scheduler.set_pool_target(Some(snap.buckets.saturating_sub(drained)));
-                    sitra_obs::emit(
-                        "sched",
-                        "pool.scale",
-                        &[
-                            ("action", "shrink".to_string()),
-                            ("delta", drained.to_string()),
-                            ("buckets", snap.buckets.saturating_sub(drained).to_string()),
-                            ("queue_depth", snap.queue_depth.to_string()),
-                            ("p99_us", snap.p99_wait.as_micros().to_string()),
-                        ],
-                    );
-                }
-            }
         }
     }
 }
@@ -288,17 +211,18 @@ impl StagingBackend for LocalBackend {
     }
 
     fn close(&mut self) -> BackendStats {
-        // Controller first, so no new buckets spawn under the closing
-        // scheduler; then close (which unparks every idle bucket) and
-        // join the whole fleet, dynamically spawned threads included.
-        self.controller_stop.store(true, Ordering::Relaxed);
-        if let Some(c) = self.controller.take() {
-            let _ = c.join();
-        }
+        // Closing unparks every idle bucket and stops the controller,
+        // which hands back the buckets it spawned; then the whole fleet
+        // is joined. A bucket spawned on a racing last tick finds the
+        // scheduler closed and exits at once.
         self.scheduler.close();
         self.done_tx = None;
-        let workers = std::mem::take(&mut self.fleet.lock().expect("fleet lock").workers);
-        for w in workers {
+        let spawned = self
+            .controller
+            .take()
+            .map(|c| c.join().unwrap_or_default())
+            .unwrap_or_default();
+        for w in self.workers.drain(..).chain(spawned) {
             let _ = w.join();
         }
         let stats = self.scheduler.stats();
@@ -308,6 +232,10 @@ impl StagingBackend for LocalBackend {
         }
     }
 }
+
+/// How long a bucket waits for its next DART completion before it
+/// gives the task up as dropped.
+const TRANSFER_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn bucket_loop(
     bucket: BucketHandle<TaskDesc>,
@@ -347,9 +275,9 @@ fn bucket_loop(
         let mut parts: Vec<(usize, Bytes)> = Vec::with_capacity(pending.len());
         let mut movement_sim = 0.0;
         let mut aggregate_secs = 0.0;
-        let mut failed_mid_pull = false;
+        let mut dropped = false;
         while !pending.is_empty() {
-            match ep.poll_event(Duration::from_secs(30)) {
+            match ep.poll_event(TRANSFER_TIMEOUT) {
                 Some(Event::GetComplete {
                     id, data, sim_time, ..
                 }) => {
@@ -369,17 +297,32 @@ fn bucket_loop(
                     // A producer withdrew the region mid-pull: the task is
                     // a staging overrun.
                     if pending.remove(&id).is_some() {
-                        failed_mid_pull = true;
+                        dropped = true;
                     }
                     if pending.is_empty() {
                         break;
                     }
                 }
                 Some(_) => {}
-                None => panic!("bucket {bucket_id}: transfer timed out"),
+                None => {
+                    // A transfer that never completes must not take the
+                    // bucket down: drop the task and serve the next one.
+                    // Late completions of its pulls are ignored above.
+                    sitra_obs::emit(
+                        "driver",
+                        "bucket.transfer_timeout",
+                        &[
+                            ("bucket", bucket_id.to_string()),
+                            ("analysis", spec.label.clone()),
+                            ("step", task.step.to_string()),
+                        ],
+                    );
+                    dropped = true;
+                    break;
+                }
             }
         }
-        if failed_mid_pull {
+        if dropped {
             ctx.retire(Retired::Dropped);
             let _ = done.send(());
             continue;

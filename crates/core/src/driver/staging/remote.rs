@@ -179,8 +179,7 @@ impl Link {
     /// Where a task's input bytes will live, for the scheduler's
     /// locality placement: the ring owner of each rank piece, folded
     /// into an `(endpoint, bytes)` map. Single-server staging has no
-    /// placement choice to inform — the hint stays empty and the wire
-    /// traffic byte-identical.
+    /// placement choice to inform, so its hint stays empty.
     fn residency_hint(&self, var: &str, step: u64, parts: &[(usize, Bytes)]) -> Vec<(String, u64)> {
         match self {
             Link::Single(_) => Vec::new(),
@@ -207,9 +206,9 @@ impl Link {
     ) -> Result<(usize, Admission), RemoteError> {
         match self {
             Link::Single(s) => s
-                .with(|c| c.submit_task_admission(data.clone()))
+                .with(|c| c.submit_task(data.clone(), hint.clone()))
                 .map(|adm| (0, adm)),
-            Link::Cluster(c) => c.submit_task_routed_hinted(label, step, data, hint),
+            Link::Cluster(c) => c.submit_task_routed(label, step, data, hint),
         }
     }
 

@@ -108,8 +108,8 @@ pub struct BucketWorkerOpts {
     pub drop_connection_after: Option<usize>,
     /// Where this bucket's results land (the worker's home endpoint):
     /// declared with every bucket-ready request so a locality-aware
-    /// scheduler can steer co-resident tasks here. `None` keeps the
-    /// legacy unlocated request verb — byte-identical on the wire.
+    /// scheduler can steer co-resident tasks here. `None` leaves the
+    /// bucket unlocated.
     pub location: Option<String>,
 }
 
@@ -297,15 +297,11 @@ impl TaskSource for SingleSource<'_> {
             self.space = RemoteSpace::connect_retry(self.endpoint, &self.opts.backoff)?;
             self.obs_reconnects.inc();
         }
-        let poll = match &self.opts.location {
-            Some(loc) => {
-                self.space
-                    .request_task_located(self.bucket_id, self.opts.request_timeout, loc)
-            }
-            None => self
-                .space
-                .request_task(self.bucket_id, self.opts.request_timeout),
-        };
+        let poll = self.space.request_task(
+            self.bucket_id,
+            self.opts.request_timeout,
+            self.opts.location.as_deref().unwrap_or_default(),
+        );
         match poll {
             Ok(TaskPoll::Assigned { data, tenant, .. }) => Ok(WorkerPoll::Task { data, tenant }),
             Ok(TaskPoll::Empty) => Ok(WorkerPoll::Idle),
@@ -520,15 +516,12 @@ impl TaskSource for ClusterSource<'_> {
         // shrink the rotation far below the budget and the worker would
         // hammer the survivors with short polls.
         let poll_timeout = self.opts.request_timeout / self.health.live().max(1) as u32;
-        let poll = match &self.opts.location {
-            Some(loc) => {
-                self.client
-                    .request_task_located(member, self.bucket_id, poll_timeout, loc)
-            }
-            None => self
-                .client
-                .request_task(member, self.bucket_id, poll_timeout),
-        };
+        let poll = self.client.request_task(
+            member,
+            self.bucket_id,
+            poll_timeout,
+            self.opts.location.as_deref().unwrap_or_default(),
+        );
         match poll {
             Ok(p) => {
                 self.health.note_ok(member);
@@ -813,12 +806,17 @@ mod tests {
             local_parts.push((r, payload));
         }
         producer
-            .submit_task(encode_task(&RemoteTask {
-                analysis_idx: 0,
-                step: 1,
-                n_ranks: 2,
-            }))
-            .unwrap();
+            .submit_task(
+                encode_task(&RemoteTask {
+                    analysis_idx: 0,
+                    step: 1,
+                    n_ranks: 2,
+                }),
+                Vec::new(),
+            )
+            .unwrap()
+            .seq()
+            .expect("task admitted");
         producer.close_sched().unwrap();
 
         let done =

@@ -21,13 +21,15 @@
 //!   [`ResidencyHint`] and prefers the bucket co-located with the shard
 //!   holding the most input, crediting the avoided movement to the
 //!   scheduler's `locality_bytes_saved` metric.
-//! * [`Autoscaler`] is the capacity controller: a pure decision
+//! * [`Autoscaler`] is the capacity policy: a pure decision
 //!   function from a [`PoolSnapshot`] (queue depth, bucket counts, p99
 //!   task queue-wait) to a [`ScaleDecision`], driven by a latency SLO.
 //!   Keeping it pure makes every scaling trajectory unit-testable with
-//!   synthetic snapshots; the impure parts (spawning worker threads,
-//!   draining buckets) live with whoever owns the workers — the local
-//!   staging backend or `sitra-staged`.
+//!   synthetic snapshots. [`tick`] and [`run_controller`] wrap it in
+//!   the one control loop every owner runs: drains are enacted on the
+//!   scheduler, while growth goes to a callback supplied by whoever
+//!   owns the workers — the local staging backend spawns bucket
+//!   threads, `sitra-staged` only publishes the new target.
 //!
 //! Lifecycle: a worker registers and leases tasks (Idle ⇄ Busy); a
 //! shrink decision marks it Draining — it finishes its current task,
@@ -36,7 +38,7 @@
 //! hand-off requeues the unacknowledged task exactly as for any other
 //! lost consumer.
 
-use crate::sched::BucketId;
+use crate::sched::{BucketId, Scheduler};
 use crossbeam::channel::Sender;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -498,6 +500,72 @@ impl Autoscaler {
     }
 }
 
+/// How often [`run_controller`] re-evaluates the pool. Short enough
+/// that a backlog burst is answered within a few SLO windows at laptop
+/// scale; the [`Autoscaler`]'s sustain hysteresis keeps the short tick
+/// from thrashing.
+const AUTOSCALE_TICK: Duration = Duration::from_millis(20);
+
+/// One capacity-controller tick: snapshot `sched`'s pool, ask `scaler`,
+/// and enact the verdict — `grow(k)` for growth, drain-then-retire of
+/// the most dispensable bucket for shrinkage. The new capacity is
+/// published through [`Scheduler::set_pool_target`] and journaled as a
+/// `pool.scale` event so `sitra-bench` replay can reconstruct the
+/// capacity timeline. `decide` never grows past `max_buckets`, so the
+/// published target needs no clamp.
+pub fn tick<T: Send + 'static>(
+    sched: &Scheduler<T>,
+    scaler: &mut Autoscaler,
+    grow: &mut impl FnMut(usize),
+) {
+    let snap = sched.pool_snapshot();
+    let (action, delta, buckets) = match scaler.decide(&snap) {
+        ScaleDecision::Hold => return,
+        ScaleDecision::Grow(k) => {
+            grow(k);
+            ("grow", k, snap.buckets + k)
+        }
+        ScaleDecision::Shrink(k) => {
+            let drained = (0..k)
+                .filter(|_| sched.drain_one_bucket().is_some())
+                .count();
+            if drained == 0 {
+                return;
+            }
+            ("shrink", drained, snap.buckets.saturating_sub(drained))
+        }
+    };
+    sched.set_pool_target(Some(buckets));
+    sitra_obs::emit(
+        "sched",
+        "pool.scale",
+        &[
+            ("action", action.to_string()),
+            ("delta", delta.to_string()),
+            ("buckets", buckets.to_string()),
+            ("queue_depth", snap.queue_depth.to_string()),
+            ("p99_us", snap.p99_wait.as_micros().to_string()),
+        ],
+    );
+}
+
+/// The capacity controller: [`tick`] every 20 ms until the scheduler
+/// is closed, then return.
+pub fn run_controller<T: Send + 'static>(
+    sched: &Scheduler<T>,
+    cfg: AutoscaleConfig,
+    mut grow: impl FnMut(usize),
+) {
+    let mut scaler = Autoscaler::new(cfg);
+    loop {
+        std::thread::sleep(AUTOSCALE_TICK);
+        if sched.is_closed() {
+            return;
+        }
+        tick(sched, &mut scaler, &mut grow);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,6 +680,88 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.decide(&floor), ScaleDecision::Hold);
         }
+    }
+
+    /// Run `f` with a fresh journal sink installed and return the
+    /// `pool.scale` events it emitted. The registry isolation lock
+    /// serializes sink swaps across concurrently running tests.
+    fn scale_events(f: impl FnOnce()) -> Vec<sitra_obs::ObsEvent> {
+        let _obs = sitra_obs::isolate();
+        let sink = Arc::new(sitra_obs::VecSink::new());
+        let prev = sitra_obs::install_sink(Some(sink.clone()));
+        f();
+        sitra_obs::install_sink(prev);
+        sink.take()
+            .into_iter()
+            .filter(|e| e.name == "pool.scale")
+            .collect()
+    }
+
+    #[test]
+    fn controller_tick_grows_once_under_sustained_backlog() {
+        let cfg = AutoscaleConfig::new(1, 4, Duration::from_millis(50));
+        let sched: Scheduler<u32> = Scheduler::new();
+        let _busy = sched.register_bucket(0);
+        for i in 0..5 {
+            sched.submit(i);
+        }
+        let mut scaler = Autoscaler::new(cfg);
+        let mut grown = Vec::new();
+        let events = scale_events(|| {
+            for _ in 0..cfg.sustain_ticks {
+                tick(&sched, &mut scaler, &mut |k| grown.push(k));
+            }
+        });
+        // Five queued tasks on one busy bucket ask for five more, but
+        // decide's step clamp stops at the ceiling: 1 + 3 = max_buckets.
+        assert_eq!(grown, vec![3]);
+        assert_eq!(sched.pool_target(), Some(cfg.max_buckets));
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].get("action"), Some("grow"));
+        assert_eq!(events[0].u64("delta"), Some(3));
+        assert_eq!(events[0].u64("buckets"), Some(4));
+    }
+
+    #[test]
+    fn controller_tick_drains_one_idle_bucket_when_cold() {
+        let cfg = AutoscaleConfig::new(1, 4, Duration::from_millis(50));
+        let sched: Scheduler<u32> = Scheduler::new();
+        let _busy = sched.register_bucket(0);
+        let idle = sched.register_bucket(1);
+        let parked = std::thread::spawn(move || idle.poll_task(None));
+        while sched.pool_snapshot().idle == 0 {
+            std::thread::yield_now();
+        }
+        let mut scaler = Autoscaler::new(cfg);
+        let mut grown = Vec::new();
+        let events = scale_events(|| {
+            for _ in 0..2 * cfg.sustain_ticks {
+                tick(&sched, &mut scaler, &mut |k| grown.push(k));
+            }
+        });
+        assert_eq!(parked.join().unwrap(), crate::sched::Lease::Retire);
+        assert!(grown.is_empty());
+        assert_eq!(sched.bucket_state(1), Some(BucketState::Retired));
+        assert_eq!(sched.pool_snapshot().buckets, 1);
+        assert_eq!(sched.pool_target(), Some(1));
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].get("action"), Some("shrink"));
+        assert_eq!(events[0].u64("delta"), Some(1));
+    }
+
+    #[test]
+    fn run_controller_returns_once_the_scheduler_closes() {
+        let sched: Scheduler<u32> = Scheduler::new();
+        let looped = sched.clone();
+        let controller = std::thread::spawn(move || {
+            run_controller(
+                &looped,
+                AutoscaleConfig::new(1, 4, Duration::from_millis(50)),
+                |_| {},
+            )
+        });
+        sched.close();
+        controller.join().unwrap();
     }
 
     #[test]

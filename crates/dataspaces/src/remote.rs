@@ -88,17 +88,16 @@ const REQ_ACK_TASK: u8 = 6;
 const REQ_STATS: u8 = 7;
 const REQ_EVICT_VERSION: u8 = 8;
 const REQ_CLOSE_SCHED: u8 = 9;
-const REQ_SUBMIT_TASK_ADM: u8 = 10;
 const REQ_SCHED_POLICY: u8 = 11;
 const REQ_CONTROL: u8 = 12;
 const REQ_SET_TENANT: u8 = 13;
 const REQ_TENANT_STATS: u8 = 14;
 const REQ_POOL_STATS: u8 = 15;
-const REQ_SUBMIT_TASK_HINTED: u8 = 16;
-const REQ_REQUEST_TASK_LOCATED: u8 = 17;
+// Request tags 10, 16 and 17 and response tag 101 belonged to retired
+// task verbs. They stay unused so a peer speaking the old layouts gets
+// a protocol error instead of a misparse.
 
 const RESP_OK: u8 = 100;
-const RESP_SEQ: u8 = 101;
 const RESP_PIECES: u8 = 102;
 const RESP_VERSION: u8 = 103;
 const RESP_TASK: u8 = 104;
@@ -150,27 +149,32 @@ pub enum Request {
         /// Variable name.
         var: String,
     },
-    /// Data-ready: enqueue an opaque task descriptor.
+    /// Data-ready: enqueue an opaque task descriptor. Always answered
+    /// by [`Response::Admission`], so a remote producer learns *why* a
+    /// refused task was refused (and which task was shed to admit this
+    /// one) and can apply backpressure or degrade.
     SubmitTask {
         /// Encoded task.
         data: Bytes,
-    },
-    /// Data-ready with an explicit admission verdict: like
-    /// [`Request::SubmitTask`] but the response reports *why* a refused
-    /// task was refused (and which task was shed to admit this one), so
-    /// remote producers can apply backpressure or degrade.
-    SubmitTaskAdm {
-        /// Encoded task.
-        data: Bytes,
+        /// Resident input bytes per location label, for a
+        /// locality-aware placement. Advisory: FCFS placement (the
+        /// default) ignores it, and an empty hint is no hint.
+        hint: Vec<(String, u64)>,
     },
     /// Query the scheduler's queue capacity and admission policy.
     SchedPolicy,
     /// Bucket-ready: ask for the next task, waiting up to `timeout_ms`.
+    /// The server may answer [`TaskPoll::Retire`] when the capacity
+    /// controller drains the bucket.
     RequestTask {
         /// Requesting bucket.
         bucket_id: u32,
         /// Server-side wait bound in milliseconds.
         timeout_ms: u64,
+        /// The bucket's location label (its cluster member endpoint),
+        /// matched by locality placement against task hints; empty =
+        /// unlocated.
+        location: String,
     },
     /// Acknowledge receipt of an assigned task.
     AckTask {
@@ -210,31 +214,6 @@ pub enum Request {
     /// Bucket-pool state: live/idle bucket counts, desired capacity,
     /// queue depth, queue-wait p99, and the locality savings counter.
     PoolStats,
-    /// Data-ready with a residency hint: like [`Request::SubmitTaskAdm`]
-    /// plus `(location, bytes)` rows describing where the task's input
-    /// lives, so a locality-aware server placement can steer the
-    /// assignment. A server with FCFS placement (the default) ignores
-    /// the hint entirely — same verdict, same assignment order.
-    SubmitTaskHinted {
-        /// Encoded task.
-        data: Bytes,
-        /// Resident input bytes per location label.
-        hint: Vec<(String, u64)>,
-    },
-    /// Bucket-ready with a location label: like [`Request::RequestTask`]
-    /// but registers the bucket as co-resident with `location` so
-    /// locality placement can match it against task hints, and the
-    /// server may answer [`TaskPoll::Retire`] when the capacity
-    /// controller drains the bucket.
-    RequestTaskLocated {
-        /// Requesting bucket.
-        bucket_id: u32,
-        /// Server-side wait bound in milliseconds.
-        timeout_ms: u64,
-        /// The bucket's location label (its cluster member endpoint;
-        /// empty = unlocated).
-        location: String,
-    },
 }
 
 /// One tenant's combined server-side counters, as reported by
@@ -335,8 +314,6 @@ pub struct RemoteStats {
 pub enum Response {
     /// Request executed.
     Ok,
-    /// Sequence number of a submitted task.
-    Seq(u64),
     /// Pieces matching a spatial query.
     Pieces(Vec<(BBox3, Bytes)>),
     /// Latest version, if any.
@@ -345,7 +322,7 @@ pub enum Response {
     Task(TaskPoll),
     /// Server counters.
     Stats(RemoteStats),
-    /// Verdict of an admission-aware task submission.
+    /// Verdict of a task submission.
     Admission(Admission),
     /// The scheduler's queue capacity (`None` = unbounded) and
     /// admission policy.
@@ -526,22 +503,25 @@ pub fn encode_request(req: &Request) -> Bytes {
             buf.put_u8(REQ_LATEST_VERSION);
             put_bytes(&mut buf, var.as_bytes());
         }
-        Request::SubmitTask { data } => {
+        Request::SubmitTask { data, hint } => {
             buf.put_u8(REQ_SUBMIT_TASK);
             put_bytes(&mut buf, data);
-        }
-        Request::SubmitTaskAdm { data } => {
-            buf.put_u8(REQ_SUBMIT_TASK_ADM);
-            put_bytes(&mut buf, data);
+            buf.put_u32_le(hint.len() as u32);
+            for (location, bytes) in hint {
+                put_bytes(&mut buf, location.as_bytes());
+                buf.put_u64_le(*bytes);
+            }
         }
         Request::SchedPolicy => buf.put_u8(REQ_SCHED_POLICY),
         Request::RequestTask {
             bucket_id,
             timeout_ms,
+            location,
         } => {
             buf.put_u8(REQ_REQUEST_TASK);
             buf.put_u32_le(*bucket_id);
             buf.put_u64_le(*timeout_ms);
+            put_bytes(&mut buf, location.as_bytes());
         }
         Request::AckTask { seq } => {
             buf.put_u8(REQ_ACK_TASK);
@@ -577,25 +557,6 @@ pub fn encode_request(req: &Request) -> Bytes {
         }
         Request::TenantStats => buf.put_u8(REQ_TENANT_STATS),
         Request::PoolStats => buf.put_u8(REQ_POOL_STATS),
-        Request::SubmitTaskHinted { data, hint } => {
-            buf.put_u8(REQ_SUBMIT_TASK_HINTED);
-            put_bytes(&mut buf, data);
-            buf.put_u32_le(hint.len() as u32);
-            for (location, bytes) in hint {
-                put_bytes(&mut buf, location.as_bytes());
-                buf.put_u64_le(*bytes);
-            }
-        }
-        Request::RequestTaskLocated {
-            bucket_id,
-            timeout_ms,
-            location,
-        } => {
-            buf.put_u8(REQ_REQUEST_TASK_LOCATED);
-            buf.put_u32_le(*bucket_id);
-            buf.put_u64_le(*timeout_ms);
-            put_bytes(&mut buf, location.as_bytes());
-        }
     }
     buf.freeze()
 }
@@ -616,12 +577,24 @@ pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
             bbox: rd.bbox()?,
         },
         REQ_LATEST_VERSION => Request::LatestVersion { var: rd.string()? },
-        REQ_SUBMIT_TASK => Request::SubmitTask { data: rd.bytes()? },
-        REQ_SUBMIT_TASK_ADM => Request::SubmitTaskAdm { data: rd.bytes()? },
+        REQ_SUBMIT_TASK => {
+            let data = rd.bytes()?;
+            let n = rd.u32()? as usize;
+            // Each row is at least a length prefix plus the byte count.
+            if n.checked_mul(12).is_none_or(|total| total > rd.remaining()) {
+                return Err(RemoteError::Proto("hint row count exceeds frame".into()));
+            }
+            let mut hint = Vec::with_capacity(n);
+            for _ in 0..n {
+                hint.push((rd.string()?, rd.u64()?));
+            }
+            Request::SubmitTask { data, hint }
+        }
         REQ_SCHED_POLICY => Request::SchedPolicy,
         REQ_REQUEST_TASK => Request::RequestTask {
             bucket_id: rd.u32()?,
             timeout_ms: rd.u64()?,
+            location: rd.string()?,
         },
         REQ_ACK_TASK => Request::AckTask { seq: rd.u64()? },
         REQ_STATS => Request::Stats,
@@ -637,43 +610,21 @@ pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
             let byte_quota = rd.opt_u64()?;
             let task_quota = rd.opt_u64()?.map(|t| t as usize);
             let has_policy = rd.u8()? != 0;
-            let policy = rd.policy().ok().filter(|_| has_policy);
-            // A policy-less SetTenant still carries the two filler
-            // bytes+u64 (consumed above by the failed/ignored parse); a
-            // malformed policy tag with has_policy set is an error.
-            if has_policy && policy.is_none() {
-                return Err(RemoteError::Proto("bad tenant policy".into()));
-            }
+            // A policy-less SetTenant still carries a zeroed filler
+            // policy, which must parse like a real one.
+            let policy = rd.policy()?;
             Request::SetTenant {
                 spec: TenantSpec {
                     name,
                     weight: weight.max(1),
                     byte_quota,
                     task_quota,
-                    policy,
+                    policy: has_policy.then_some(policy),
                 },
             }
         }
         REQ_TENANT_STATS => Request::TenantStats,
         REQ_POOL_STATS => Request::PoolStats,
-        REQ_SUBMIT_TASK_HINTED => {
-            let data = rd.bytes()?;
-            let n = rd.u32()? as usize;
-            // Each row is at least a length prefix plus the byte count.
-            if n.checked_mul(12).is_none_or(|total| total > rd.remaining()) {
-                return Err(RemoteError::Proto("hint row count exceeds frame".into()));
-            }
-            let mut hint = Vec::with_capacity(n);
-            for _ in 0..n {
-                hint.push((rd.string()?, rd.u64()?));
-            }
-            Request::SubmitTaskHinted { data, hint }
-        }
-        REQ_REQUEST_TASK_LOCATED => Request::RequestTaskLocated {
-            bucket_id: rd.u32()?,
-            timeout_ms: rd.u64()?,
-            location: rd.string()?,
-        },
         t => return Err(RemoteError::Proto(format!("unknown request tag {t}"))),
     };
     rd.finish()?;
@@ -685,10 +636,6 @@ pub fn encode_response(resp: &Response) -> Bytes {
     let mut buf = BytesMut::new();
     match resp {
         Response::Ok => buf.put_u8(RESP_OK),
-        Response::Seq(seq) => {
-            buf.put_u8(RESP_SEQ);
-            buf.put_u64_le(*seq);
-        }
         Response::Pieces(pieces) => {
             buf.put_u8(RESP_PIECES);
             buf.put_u32_le(pieces.len() as u32);
@@ -806,7 +753,6 @@ pub fn decode_response(frame: Bytes) -> Result<Response, RemoteError> {
     let mut rd = Rd::new(frame);
     let resp = match rd.u8()? {
         RESP_OK => Response::Ok,
-        RESP_SEQ => Response::Seq(rd.u64()?),
         RESP_PIECES => {
             let n = rd.u32()? as usize;
             // Each piece is at least a bbox and a length prefix.
@@ -1085,21 +1031,7 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
             Request::LatestVersion { var } => {
                 Response::Version(inner.space.latest_version(&scope(&tenant, &var)))
             }
-            Request::SubmitTask { data } => {
-                let t = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-                match inner.sched.submit_admission_as(t, data) {
-                    Admission::Accepted { seq } | Admission::AcceptedShed { seq, .. } => {
-                        Response::Seq(seq)
-                    }
-                    Admission::Closed => Response::Error("scheduler closed".into()),
-                    verdict => Response::Error(format!("task not admitted: {verdict:?}")),
-                }
-            }
-            Request::SubmitTaskAdm { data } => {
-                let t = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-                Response::Admission(inner.sched.submit_admission_as(t, data))
-            }
-            Request::SubmitTaskHinted { data, hint } => {
+            Request::SubmitTask { data, hint } => {
                 let t = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
                 let hint = (!hint.is_empty()).then_some(ResidencyHint { bytes_at: hint });
                 Response::Admission(inner.sched.submit_admission_hinted_as(t, data, hint))
@@ -1109,15 +1041,6 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
                 policy: inner.sched.policy(),
             },
             Request::RequestTask {
-                bucket_id,
-                timeout_ms,
-            } => {
-                if !handle_request_task(inner, conn, bucket_id, timeout_ms, None) {
-                    return; // hand-off failed; connection is dead
-                }
-                continue; // response already sent
-            }
-            Request::RequestTaskLocated {
                 bucket_id,
                 timeout_ms,
                 location,
@@ -1474,22 +1397,19 @@ impl RemoteSpace {
         }
     }
 
-    /// Data-ready: enqueue an opaque task descriptor; returns its
-    /// sequence number.
-    pub fn submit_task(&self, data: Bytes) -> Result<u64, RemoteError> {
-        match self.rpc(&Request::SubmitTask { data })? {
-            Response::Seq(s) => Ok(s),
-            other => Err(RemoteError::Proto(format!("expected Seq, got {other:?}"))),
-        }
-    }
-
-    /// Data-ready with an explicit [`Admission`] verdict: the server
-    /// applies its admission policy and reports the outcome instead of
-    /// turning a refusal into an opaque error. This is how a remote
-    /// producer learns it should degrade (run the aggregation in-situ)
-    /// or that one of its earlier tasks was shed.
-    pub fn submit_task_admission(&self, data: Bytes) -> Result<Admission, RemoteError> {
-        match self.rpc(&Request::SubmitTaskAdm { data })? {
+    /// Data-ready: enqueue an opaque task descriptor and return the
+    /// server's [`Admission`] verdict. A refusal is a verdict, not an
+    /// error: it is how a remote producer learns it should degrade (run
+    /// the aggregation in-situ) or that one of its earlier tasks was
+    /// shed. `hint` rows name where the task's input bytes live so a
+    /// locality-aware server placement can steer the assignment; an
+    /// FCFS server ignores them.
+    pub fn submit_task(
+        &self,
+        data: Bytes,
+        hint: Vec<(String, u64)>,
+    ) -> Result<Admission, RemoteError> {
+        match self.rpc(&Request::SubmitTask { data, hint })? {
             Response::Admission(adm) => Ok(adm),
             other => Err(RemoteError::Proto(format!(
                 "expected Admission, got {other:?}"
@@ -1509,45 +1429,25 @@ impl RemoteSpace {
     }
 
     /// Bucket-ready: request the next task, waiting up to `timeout` on
-    /// the server. An assigned task is acknowledged automatically
-    /// before this returns.
-    pub fn request_task(&self, bucket_id: u32, timeout: Duration) -> Result<TaskPoll, RemoteError> {
-        self.request_task_frame(&Request::RequestTask {
-            bucket_id,
-            timeout_ms: timeout.as_millis() as u64,
-        })
-    }
-
-    /// [`Self::request_task`] with a location label: registers the
-    /// bucket as co-resident with `location` so the server's locality
-    /// placement can steer matching tasks here, and may return
-    /// [`TaskPoll::Retire`] when the capacity controller drains this
-    /// bucket.
-    pub fn request_task_located(
+    /// the server. A non-empty `location` registers the bucket as
+    /// co-resident with it so the server's locality placement can steer
+    /// matching tasks here. An assigned task is acknowledged
+    /// automatically before this returns; [`TaskPoll::Retire`] means
+    /// the capacity controller drained this bucket.
+    pub fn request_task(
         &self,
         bucket_id: u32,
         timeout: Duration,
         location: &str,
     ) -> Result<TaskPoll, RemoteError> {
-        self.request_task_frame(&Request::RequestTaskLocated {
+        self.conn.send(encode_request(&Request::RequestTask {
             bucket_id,
             timeout_ms: timeout.as_millis() as u64,
             location: location.to_string(),
-        })
-    }
-
-    fn request_task_frame(&self, req: &Request) -> Result<TaskPoll, RemoteError> {
-        let timeout_ms = match req {
-            Request::RequestTask { timeout_ms, .. }
-            | Request::RequestTaskLocated { timeout_ms, .. } => *timeout_ms,
-            _ => 0,
-        };
-        self.conn.send(encode_request(req))?;
+        }))?;
         // The server may legitimately take the full timeout; pad the
         // client-side wait generously.
-        let frame = self
-            .conn
-            .recv_timeout(Duration::from_millis(timeout_ms) + Duration::from_secs(30))?;
+        let frame = self.conn.recv_timeout(timeout + Duration::from_secs(30))?;
         match decode_response(frame)? {
             Response::Task(poll) => {
                 if let TaskPoll::Assigned { seq, .. } = &poll {
@@ -1558,23 +1458,6 @@ impl RemoteSpace {
             }
             Response::Error(msg) => Err(RemoteError::Server(msg)),
             other => Err(RemoteError::Proto(format!("expected Task, got {other:?}"))),
-        }
-    }
-
-    /// [`Self::submit_task_admission`] with a residency hint: `hint`
-    /// rows name where the task's input bytes live so a locality-aware
-    /// server placement can steer the assignment. Advisory — an FCFS
-    /// server behaves exactly as for the unhinted verb.
-    pub fn submit_task_hinted(
-        &self,
-        data: Bytes,
-        hint: Vec<(String, u64)>,
-    ) -> Result<Admission, RemoteError> {
-        match self.rpc(&Request::SubmitTaskHinted { data, hint })? {
-            Response::Admission(adm) => Ok(adm),
-            other => Err(RemoteError::Proto(format!(
-                "expected Admission, got {other:?}"
-            ))),
         }
     }
 
@@ -1655,6 +1538,7 @@ impl RemoteSpace {
         let _ = self.conn.send(encode_request(&Request::RequestTask {
             bucket_id,
             timeout_ms: timeout.as_millis() as u64,
+            location: String::new(),
         }));
         // Give the request time to reach the server thread before the
         // hang-up races it.
@@ -1688,18 +1572,17 @@ mod tests {
             Request::LatestVersion { var: "x".into() },
             Request::SubmitTask {
                 data: Bytes::from_static(b"task"),
+                hint: vec![],
             },
             Request::RequestTask {
                 bucket_id: 7,
                 timeout_ms: 1500,
+                location: String::new(),
             },
             Request::AckTask { seq: 42 },
             Request::Stats,
             Request::EvictVersion { version: 3 },
             Request::CloseSched,
-            Request::SubmitTaskAdm {
-                data: Bytes::from_static(b"task-adm"),
-            },
             Request::SchedPolicy,
             Request::Control {
                 data: Bytes::from_static(b"\x00opaque"),
@@ -1718,15 +1601,11 @@ mod tests {
             },
             Request::TenantStats,
             Request::PoolStats,
-            Request::SubmitTaskHinted {
+            Request::SubmitTask {
                 data: Bytes::from_static(b"task-hinted"),
                 hint: vec![("tcp://m0:7000".into(), 4096), ("tcp://m1:7000".into(), 64)],
             },
-            Request::SubmitTaskHinted {
-                data: Bytes::from_static(b"no-hint"),
-                hint: vec![],
-            },
-            Request::RequestTaskLocated {
+            Request::RequestTask {
                 bucket_id: 3,
                 timeout_ms: 250,
                 location: "tcp://m1:7000".into(),
@@ -1741,7 +1620,6 @@ mod tests {
     fn response_codec_roundtrip() {
         let resps = vec![
             Response::Ok,
-            Response::Seq(17),
             Response::Pieces(vec![
                 (mk_bbox([0, 0, 0], [1, 1, 1]), Bytes::from_static(b"abc")),
                 (mk_bbox([2, 0, 0], [3, 1, 1]), Bytes::new()),
@@ -1835,15 +1713,26 @@ mod tests {
             assert!(decode_request(junk.clone()).is_err());
             assert!(decode_response(junk).is_err());
         }
-        // Truncations of every valid message error out too.
-        let enc = encode_request(&Request::Put {
-            var: "T".into(),
-            version: 1,
-            bbox: mk_bbox([0, 0, 0], [1, 1, 1]),
-            data: Bytes::from_static(b"xyz"),
-        });
-        for cut in 0..enc.len() {
-            assert!(decode_request(enc.slice(0..cut)).is_err());
+        // Truncations of every valid message error out too, including
+        // one cut inside a policy-less SetTenant's filler policy.
+        for req in [
+            Request::Put {
+                var: "T".into(),
+                version: 1,
+                bbox: mk_bbox([0, 0, 0], [1, 1, 1]),
+                data: Bytes::from_static(b"xyz"),
+            },
+            Request::SetTenant {
+                spec: TenantSpec::new("plain"),
+            },
+        ] {
+            let enc = encode_request(&req);
+            for cut in 0..enc.len() {
+                assert!(
+                    decode_request(enc.slice(0..cut)).is_err(),
+                    "{req:?} cut at {cut}"
+                );
+            }
         }
     }
 
@@ -1873,13 +1762,19 @@ mod tests {
 
         // Empty poll times out.
         assert_eq!(
-            bucket.request_task(0, Duration::from_millis(40)).unwrap(),
+            bucket
+                .request_task(0, Duration::from_millis(40), "")
+                .unwrap(),
             TaskPoll::Empty
         );
-        let seq = producer.submit_task(Bytes::from_static(b"job-0")).unwrap();
-        assert_eq!(seq, 0);
         assert_eq!(
-            bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+            producer
+                .submit_task(Bytes::from_static(b"job-0"), vec![])
+                .unwrap(),
+            Admission::Accepted { seq: 0 }
+        );
+        assert_eq!(
+            bucket.request_task(0, Duration::from_secs(2), "").unwrap(),
             TaskPoll::Assigned {
                 seq: 0,
                 data: Bytes::from_static(b"job-0"),
@@ -1888,7 +1783,7 @@ mod tests {
         );
         producer.close_sched().unwrap();
         assert_eq!(
-            bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+            bucket.request_task(0, Duration::from_secs(2), "").unwrap(),
             TaskPoll::Closed
         );
         let stats = producer.stats().unwrap();
@@ -1904,7 +1799,7 @@ mod tests {
         let server = SpaceServer::start(&addr, 1).unwrap();
         let producer = RemoteSpace::connect(&server.addr()).unwrap();
         producer
-            .submit_task(Bytes::from_static(b"precious"))
+            .submit_task(Bytes::from_static(b"precious"), vec![])
             .unwrap();
 
         // A consumer asks for the task and dies before acknowledging.
@@ -1913,7 +1808,9 @@ mod tests {
 
         // The replacement consumer still gets the task.
         let survivor = RemoteSpace::connect(&server.addr()).unwrap();
-        let polled = survivor.request_task(1, Duration::from_secs(5)).unwrap();
+        let polled = survivor
+            .request_task(1, Duration::from_secs(5), "")
+            .unwrap();
         assert_eq!(
             polled,
             TaskPoll::Assigned {
@@ -1941,20 +1838,20 @@ mod tests {
         );
         assert_eq!(
             producer
-                .submit_task_admission(Bytes::from_static(b"t0"))
+                .submit_task(Bytes::from_static(b"t0"), vec![])
                 .unwrap(),
             Admission::Accepted { seq: 0 }
         );
         assert_eq!(
             producer
-                .submit_task_admission(Bytes::from_static(b"t1"))
+                .submit_task(Bytes::from_static(b"t1"), vec![])
                 .unwrap(),
             Admission::Accepted { seq: 1 }
         );
         // Queue full: the oldest task is shed to admit the new one.
         assert_eq!(
             producer
-                .submit_task_admission(Bytes::from_static(b"t2"))
+                .submit_task(Bytes::from_static(b"t2"), vec![])
                 .unwrap(),
             Admission::AcceptedShed {
                 seq: 2,
@@ -1967,7 +1864,7 @@ mod tests {
         // The survivors drain FCFS; the shed task is gone.
         let bucket = RemoteSpace::connect(&server.addr()).unwrap();
         assert_eq!(
-            bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+            bucket.request_task(0, Duration::from_secs(2), "").unwrap(),
             TaskPoll::Assigned {
                 seq: 1,
                 data: Bytes::from_static(b"t1"),
@@ -1975,7 +1872,7 @@ mod tests {
             }
         );
         assert_eq!(
-            bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+            bucket.request_task(0, Duration::from_secs(2), "").unwrap(),
             TaskPoll::Assigned {
                 seq: 2,
                 data: Bytes::from_static(b"t2"),
@@ -1985,7 +1882,7 @@ mod tests {
         producer.close_sched().unwrap();
         assert_eq!(
             producer
-                .submit_task_admission(Bytes::from_static(b"late"))
+                .submit_task(Bytes::from_static(b"late"), vec![])
                 .unwrap(),
             Admission::Closed
         );
@@ -2000,21 +1897,23 @@ mod tests {
         let producer = RemoteSpace::connect(&server.addr()).unwrap();
         assert_eq!(
             producer
-                .submit_task_admission(Bytes::from_static(b"a"))
+                .submit_task(Bytes::from_static(b"a"), vec![])
                 .unwrap(),
             Admission::Accepted { seq: 0 }
         );
         assert_eq!(
             producer
-                .submit_task_admission(Bytes::from_static(b"b"))
+                .submit_task(Bytes::from_static(b"b"), vec![])
                 .unwrap(),
             Admission::Rejected
         );
-        // The legacy verb surfaces the refusal as a server error.
-        assert!(matches!(
-            producer.submit_task(Bytes::from_static(b"c")),
-            Err(RemoteError::Server(_))
-        ));
+        // A refusal is a verdict, not a transport or server error.
+        assert_eq!(
+            producer
+                .submit_task(Bytes::from_static(b"c"), vec![])
+                .unwrap(),
+            Admission::Rejected
+        );
         assert_eq!(producer.stats().unwrap().tasks_rejected, 2);
         server.shutdown();
     }
@@ -2101,9 +2000,13 @@ mod tests {
         assert_eq!(legacy.get("T", 1, &b).unwrap().len(), 1);
 
         // Task submissions are attributed per tenant.
-        viz.submit_task(Bytes::from_static(b"v0")).unwrap();
-        stats_client.submit_task(Bytes::from_static(b"s0")).unwrap();
-        legacy.submit_task(Bytes::from_static(b"l0")).unwrap();
+        viz.submit_task(Bytes::from_static(b"v0"), vec![]).unwrap();
+        stats_client
+            .submit_task(Bytes::from_static(b"s0"), vec![])
+            .unwrap();
+        legacy
+            .submit_task(Bytes::from_static(b"l0"), vec![])
+            .unwrap();
         let rows = viz.tenant_stats().unwrap();
         let row = |name: &str| rows.iter().find(|r| r.name == name).unwrap().clone();
         assert_eq!(row("viz").tasks_submitted, 1);
@@ -2145,7 +2048,7 @@ mod tests {
         let bucket = RemoteSpace::connect(&server.addr()).unwrap();
         assert_eq!(
             bucket
-                .request_task_located(0, Duration::from_millis(40), "tcp://m0:1")
+                .request_task(0, Duration::from_millis(40), "tcp://m0:1")
                 .unwrap(),
             TaskPoll::Empty
         );
@@ -2153,7 +2056,7 @@ mod tests {
         // saved bytes show up in pool stats.
         assert_eq!(
             producer
-                .submit_task_hinted(
+                .submit_task(
                     Bytes::from_static(b"near"),
                     vec![("tcp://m0:1".into(), 2048)],
                 )
@@ -2162,7 +2065,7 @@ mod tests {
         );
         assert_eq!(
             bucket
-                .request_task_located(0, Duration::from_secs(2), "tcp://m0:1")
+                .request_task(0, Duration::from_secs(2), "tcp://m0:1")
                 .unwrap(),
             TaskPoll::Assigned {
                 seq: 0,
@@ -2182,7 +2085,7 @@ mod tests {
         server.scheduler().begin_drain(0);
         assert_eq!(
             bucket
-                .request_task_located(0, Duration::from_secs(2), "tcp://m0:1")
+                .request_task(0, Duration::from_secs(2), "tcp://m0:1")
                 .unwrap(),
             TaskPoll::Retire
         );

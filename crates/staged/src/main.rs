@@ -43,8 +43,8 @@
 use bytes::Bytes;
 use sitra_cluster::{Bootstrap, ClusterNode, ClusterNodeOpts};
 use sitra_dataspaces::{
-    AdmissionPolicy, AutoscaleConfig, Autoscaler, DataSpaces, LocalityPlacement, RemoteSpace,
-    ScaleDecision, SchedStats, Scheduler, SpaceServer, SteerPublisher, SteerServer, TenantSpec,
+    pool, AdmissionPolicy, AutoscaleConfig, DataSpaces, LocalityPlacement, RemoteSpace, SchedStats,
+    Scheduler, SpaceServer, SteerPublisher, SteerServer, TenantSpec,
 };
 use sitra_net::{Addr, Backoff};
 use sitra_testkit::{CrashPlan, FaultPlan, PlanInjector};
@@ -571,7 +571,7 @@ fn main() {
             .set_placement(Arc::new(LocalityPlacement));
         println!("sitra-staged: locality-aware task placement active");
     }
-    if let Some((min, max)) = opts.buckets {
+    let controller = opts.buckets.map(|(min, max)| {
         // The service cannot spawn worker processes, so the controller
         // splits the autoscaler's verdict: shrinkage is enacted here
         // (drain-then-retire the most dispensable bucket; its worker
@@ -584,53 +584,8 @@ fn main() {
             "sitra-staged: bucket autoscale {}..{} buckets, p99 SLO {:?}",
             cfg.min_buckets, cfg.max_buckets, cfg.slo
         );
-        std::thread::spawn(move || {
-            let mut scaler = Autoscaler::new(cfg);
-            loop {
-                std::thread::sleep(Duration::from_millis(20));
-                let snap = sched.pool_snapshot();
-                match scaler.decide(&snap) {
-                    ScaleDecision::Hold => {}
-                    ScaleDecision::Grow(k) => {
-                        sched.set_pool_target(Some((snap.buckets + k).min(cfg.max_buckets)));
-                        sitra_obs::emit(
-                            "sched",
-                            "pool.scale",
-                            &[
-                                ("action", "grow".to_string()),
-                                ("delta", k.to_string()),
-                                ("buckets", (snap.buckets + k).to_string()),
-                                ("queue_depth", snap.queue_depth.to_string()),
-                                ("p99_us", snap.p99_wait.as_micros().to_string()),
-                            ],
-                        );
-                    }
-                    ScaleDecision::Shrink(k) => {
-                        let mut drained = 0usize;
-                        for _ in 0..k {
-                            if sched.drain_one_bucket().is_some() {
-                                drained += 1;
-                            }
-                        }
-                        if drained > 0 {
-                            sched.set_pool_target(Some(snap.buckets.saturating_sub(drained)));
-                            sitra_obs::emit(
-                                "sched",
-                                "pool.scale",
-                                &[
-                                    ("action", "shrink".to_string()),
-                                    ("delta", drained.to_string()),
-                                    ("buckets", snap.buckets.saturating_sub(drained).to_string()),
-                                    ("queue_depth", snap.queue_depth.to_string()),
-                                    ("p99_us", snap.p99_wait.as_micros().to_string()),
-                                ],
-                            );
-                        }
-                    }
-                }
-            }
-        });
-    }
+        std::thread::spawn(move || pool::run_controller(&sched, cfg, |_| {}))
+    });
 
     let steer = opts.steer_listen.as_ref().map(|addr| {
         let server = SteerServer::start(addr).unwrap_or_else(|e| {
@@ -677,6 +632,9 @@ fn main() {
         "sitra-staged: scheduler closed; {} task(s) assigned, {} requeued — shutting down",
         stats.tasks_assigned, stats.tasks_requeued
     );
+    if let Some(c) = controller {
+        let _ = c.join();
+    }
     if let Some(s) = steer {
         s.shutdown();
     }

@@ -857,10 +857,10 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
             conn.set_tenant(&rival_spec).expect("rival bind");
             fixture::stage_rival_workload(
                 |var, step, bbox, data| conn.put(var, step, bbox, data).map_err(|e| e.to_string()),
-                |data| {
-                    conn.submit_task(data)
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
+                |data| match conn.submit_task(data, Vec::new()) {
+                    Ok(adm) if adm.seq().is_some() => Ok(()),
+                    Ok(adm) => Err(format!("task not admitted: {adm:?}")),
+                    Err(e) => Err(e.to_string()),
                 },
             )
         }
@@ -872,7 +872,7 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
                 },
                 |data| {
                     client
-                        .submit_task_routed("rival-route", 0, data)
+                        .submit_task_routed("rival-route", 0, data, Vec::new())
                         .map(|_| ())
                         .map_err(|e| e.to_string())
                 },
