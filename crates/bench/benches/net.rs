@@ -28,10 +28,8 @@ fn bench_frames(c: &mut Criterion) {
     group.sample_size(30);
 
     for (label, addr) in [
-        ("inproc", "inproc://bench-echo".to_string()),
-        ("tcp", "tcp://127.0.0.1:0".to_string()),
-        // Unique per run: the rendezvous segment lives in /dev/shm.
-        ("shm", format!("shm://bench-echo-{}", std::process::id())),
+        ("inproc", "inproc://bench-echo"),
+        ("tcp", "tcp://127.0.0.1:0"),
     ] {
         let (handle, bound) = echo_server(&addr.parse().expect("addr"));
         let conn = connect(&bound).expect("connect");
@@ -63,9 +61,8 @@ fn bench_remote_space(c: &mut Criterion) {
     group.sample_size(30);
 
     for (label, addr) in [
-        ("inproc", "inproc://bench-space".to_string()),
-        ("tcp", "tcp://127.0.0.1:0".to_string()),
-        ("shm", format!("shm://bench-space-{}", std::process::id())),
+        ("inproc", "inproc://bench-space"),
+        ("tcp", "tcp://127.0.0.1:0"),
     ] {
         let server = SpaceServer::start(&addr.parse().expect("addr"), 4).expect("start");
         let client = RemoteSpace::connect(&server.addr()).expect("connect");

@@ -160,13 +160,12 @@ trait TaskSource {
     /// Store an encoded output.
     fn put(&self, var: &str, version: u64, bbox: BBox3, data: Bytes) -> Result<(), RemoteError>;
 
-    /// Whether a task whose inputs cannot be fully assembled (or whose
-    /// output cannot be stored) is **skipped** instead of failing the
-    /// worker. Cluster staging skips — a fan-out get can race a shard
-    /// handoff, and a partial aggregation would poison the golden
-    /// outputs, while a missing output merely degrades the task at the
-    /// driver's deadline. Single-space staging has no handoff to race,
-    /// so there an unreachable input is a real fault.
+    /// Whether a task whose inputs cannot be fetched (or whose output
+    /// cannot be stored) is **skipped** instead of failing the worker.
+    /// Cluster staging skips — a fan-out get can race a shard handoff,
+    /// while a missing output merely degrades the task at the driver's
+    /// deadline. Single-space staging has no handoff to race, so there
+    /// an unreachable input is a real fault.
     fn lenient(&self) -> bool;
 }
 
@@ -232,9 +231,10 @@ fn run_worker_core<S: TaskSource>(
                 w[0].0, spec.label, task.step
             )));
         }
-        if source.lenient() && parts.len() != task.n_ranks as usize {
-            // Incomplete assembly (handoff race or lost member): never
-            // aggregate short.
+        if parts.len() != task.n_ranks as usize {
+            // Incomplete assembly (a cluster handoff race or lost member,
+            // or a restarted server that never received the pieces):
+            // never aggregate short. The driver degrades the task.
             obs_skipped.inc();
             continue;
         }
@@ -836,6 +836,48 @@ mod tests {
             encode_analysis_output(&got),
             encode_analysis_output(&expect)
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn worker_skips_a_task_whose_pieces_never_arrived() {
+        // A restarted server can hold a task whose rank pieces went to
+        // its crashed predecessor. The worker must skip it (the driver
+        // degrades it), never aggregate an empty or short part list.
+        let addr: Addr = "inproc://core-worker-short".parse().unwrap();
+        let server = SpaceServer::start(&addr, 1).unwrap();
+        let analyses = vec![AnalysisSpec::new(
+            Arc::new(HybridStats::default()),
+            Placement::Hybrid,
+            1,
+        )];
+        let label = analyses[0].label.clone();
+        let producer = RemoteSpace::connect(&server.addr()).unwrap();
+        // Step 2 has one of its two pieces; step 1 has none.
+        producer
+            .put(&intermediate_var(&label), 2, rank_bbox(0), Bytes::new())
+            .unwrap();
+        for step in [1, 2] {
+            let task = RemoteTask {
+                analysis_idx: 0,
+                step,
+                n_ranks: 2,
+            };
+            producer
+                .submit_task(encode_task(&task), Vec::new())
+                .unwrap()
+                .seq()
+                .expect("task admitted");
+        }
+        producer.close_sched().unwrap();
+
+        let done =
+            run_bucket_worker(&server.addr(), &analyses, 0, &BucketWorkerOpts::default()).unwrap();
+        assert_eq!(done, 0);
+        for step in [1, 2] {
+            let out = producer.get(&output_var(&label), step, &output_bbox());
+            assert!(out.unwrap().is_empty(), "step {step} must have no output");
+        }
         server.shutdown();
     }
 }

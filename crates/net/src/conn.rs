@@ -7,9 +7,8 @@
 //! the writer's bounded queue and `recv` dequeues whole frames from
 //! the reader's — both ends of hybrid channels that work from plain
 //! threads and async tasks alike. The in-process backend stays a pair
-//! of channels, and the shared-memory backend a pair of SPSC rings;
-//! all three meet the same contract, so everything above `sitra-net`
-//! is transport-agnostic.
+//! of channels; both meet the same contract, so everything above
+//! `sitra-net` is transport-agnostic.
 //!
 //! Fault injection rides the same seam: the injector is consulted
 //! synchronously in `send` (keeping scheduled-fault decision streams
@@ -18,7 +17,6 @@
 //! queue (or a timer task) while the sender carries on immediately.
 
 use crate::fault::{self, FaultAction};
-use crate::shm;
 use crate::tcp::{self, WriteItem};
 use crate::NetError;
 use bytes::Bytes;
@@ -142,15 +140,6 @@ enum Inner {
         writer_closed: Arc<AtomicBool>,
         peer: SocketAddr,
     },
-    Shm {
-        /// Both ring halves; `close()` severs them lock-free, so it
-        /// lands even mid-send/mid-recv.
-        io: Arc<shm::ShmConn>,
-        /// Outbound sequencer for fault `Delay`/`Reorder` timing, same
-        /// lifecycle as the in-process one.
-        seq: Mutex<Option<mpsc::UnboundedSender<SeqItem>>>,
-        peer: String,
-    },
 }
 
 /// One frame-oriented, bidirectional connection.
@@ -200,21 +189,6 @@ impl Connection {
             obs: ObsCounters::resolve(&peer.to_string()),
             closed: AtomicBool::new(false),
         })
-    }
-
-    pub(crate) fn from_shm(io: shm::ShmConn, peer: String) -> Connection {
-        Connection {
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
-            peer_label: peer.clone(),
-            obs: ObsCounters::resolve(&peer),
-            inner: Inner::Shm {
-                io: Arc::new(io),
-                seq: Mutex::new(None),
-                peer,
-            },
-            counters: Counters::default(),
-            closed: AtomicBool::new(false),
-        }
     }
 
     /// This connection's process-unique id (stable for its lifetime;
@@ -288,25 +262,6 @@ impl Connection {
                 };
                 outbound.blocking_send(item).map_err(|_| NetError::Closed)?;
             }
-            Inner::Shm { io, seq, .. } => {
-                let mut seq_guard = seq.lock();
-                if hold_until.is_some() && seq_guard.is_none() {
-                    let fwd = Arc::clone(io);
-                    *seq_guard = Some(spawn_sequencer(move |b: Bytes| {
-                        let _ = fwd.producer.lock().send(&b);
-                    }));
-                }
-                match (&*seq_guard, hold_until) {
-                    (Some(s), Some(deadline)) => s
-                        .send(SeqItem::Held(payload, deadline))
-                        .map_err(|_| NetError::Closed)?,
-                    (Some(s), None) => s
-                        .send(SeqItem::Now(payload))
-                        .map_err(|_| NetError::Closed)?,
-                    // Fault-free fast path: straight into the ring.
-                    (None, _) => io.producer.lock().send(&payload)?,
-                }
-            }
         }
         self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -345,20 +300,6 @@ impl Connection {
                     let _ = out.send(WriteItem::Frame(payload)).await;
                 });
             }
-            Inner::Shm { io, seq, .. } => {
-                let mut seq_guard = seq.lock();
-                if seq_guard.is_none() {
-                    let fwd = Arc::clone(io);
-                    *seq_guard = Some(spawn_sequencer(move |b: Bytes| {
-                        let _ = fwd.producer.lock().send(&b);
-                    }));
-                }
-                let seq_tx = seq_guard.as_ref().expect("sequencer just created").clone();
-                crate::rt::handle().spawn(async move {
-                    tokio::time::sleep(delay).await;
-                    let _ = seq_tx.send(SeqItem::Now(payload));
-                });
-            }
         }
         self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -389,9 +330,6 @@ impl Connection {
                     None => return Err(NetError::Closed),
                 }
             }
-            Inner::Shm { io, .. } => io.consumer.lock().recv(None).inspect_err(|e| {
-                self.obs_classify(e);
-            })?,
         };
         self.counters.frames_recv.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -449,7 +387,6 @@ impl Connection {
                     Err(ChanRecvTimeoutError::Disconnected) => Err(NetError::Closed),
                 }
             }
-            Inner::Shm { io, .. } => io.consumer.lock().recv(Some(timeout)),
         }
     }
 
@@ -481,13 +418,6 @@ impl Connection {
                     let _ = stream.shutdown_std(std::net::Shutdown::Both);
                 }
             }
-            Inner::Shm { io, seq, .. } => {
-                // Everything sent is already in the ring, so severing
-                // the channels *is* flush-then-close; parked holds on
-                // the sequencer die with it.
-                seq.lock().take();
-                io.close();
-            }
         }
     }
 
@@ -506,7 +436,6 @@ impl Connection {
         match &self.inner {
             Inner::InProc { .. } => "inproc".to_string(),
             Inner::Tcp { peer, .. } => peer.to_string(),
-            Inner::Shm { peer, .. } => peer.clone(),
         }
     }
 }
@@ -515,13 +444,6 @@ impl Drop for Connection {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-pub(crate) fn shm_connect(name: &str) -> Result<Connection, NetError> {
-    // The fault-injection partition check happens inside the
-    // rendezvous (it needs the label anyway).
-    let io = shm::shm_connect(name)?;
-    Ok(Connection::from_shm(io, format!("shm://{name}")))
 }
 
 pub(crate) fn tcp_connect(sa: SocketAddr) -> Result<Connection, NetError> {

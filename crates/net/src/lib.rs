@@ -6,7 +6,7 @@
 //! area can live in a different process (or machine) from the
 //! simulation.
 //!
-//! Three pluggable backends behind one [`Connection`] / [`Listener`]
+//! Two pluggable backends behind one [`Connection`] / [`Listener`]
 //! API:
 //!
 //! * **`inproc://name`** — crossbeam channels through a process-global
@@ -17,10 +17,6 @@
 //!   out of coalesced reads), and bursts of small frames batch into
 //!   single vectored writes. The blocking [`Connection`] API is a thin
 //!   facade over those tasks.
-//! * **`shm://name`** — shared-memory FIFOs through `/dev/shm`, the
-//!   same-node fast path (the stand-in for the paper's DART RDMA
-//!   transport): a descriptor ring plus a block-store arena per
-//!   direction, synchronized with futexes, no sockets at all.
 //!
 //! Every connection carries [`ConnStats`] counters (frames/bytes in
 //! each direction), and [`connect_retry`] layers bounded
@@ -34,7 +30,6 @@ pub mod fault;
 pub mod frame;
 mod listener;
 pub mod rt;
-mod shm;
 mod tcp;
 
 pub use conn::{ConnStats, Connection, MAX_FRAME_LEN};
@@ -54,7 +49,8 @@ pub enum NetError {
     Timeout,
     /// A frame exceeded [`MAX_FRAME_LEN`].
     FrameTooLarge(usize),
-    /// An address string did not parse.
+    /// An address did not parse, or names an endpoint this operation
+    /// cannot use; the payload is the complete message.
     BadAddr(String),
     /// No listener at the target address.
     Refused(String),
@@ -81,7 +77,7 @@ impl std::fmt::Display for NetError {
             NetError::Closed => write!(f, "connection closed"),
             NetError::Timeout => write!(f, "operation timed out"),
             NetError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds the frame cap"),
-            NetError::BadAddr(s) => write!(f, "unparseable address `{s}`"),
+            NetError::BadAddr(msg) => f.write_str(msg),
             NetError::Refused(s) => write!(f, "connection to `{s}` refused"),
             NetError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -111,8 +107,6 @@ pub enum Addr {
     InProc(String),
     /// TCP socket address.
     Tcp(SocketAddr),
-    /// Shared-memory endpoint named in `/dev/shm` (same-node only).
-    Shm(String),
 }
 
 impl std::fmt::Display for Addr {
@@ -120,7 +114,6 @@ impl std::fmt::Display for Addr {
         match self {
             Addr::InProc(name) => write!(f, "inproc://{name}"),
             Addr::Tcp(sa) => write!(f, "tcp://{sa}"),
-            Addr::Shm(name) => write!(f, "shm://{name}"),
         }
     }
 }
@@ -129,25 +122,21 @@ impl std::str::FromStr for Addr {
     type Err = NetError;
 
     fn from_str(s: &str) -> Result<Self, NetError> {
+        let bad = || {
+            NetError::BadAddr(format!(
+                "unparseable address `{s}`: expected inproc://NAME or tcp://HOST:PORT"
+            ))
+        };
         if let Some(name) = s.strip_prefix("inproc://") {
             if name.is_empty() {
-                return Err(NetError::BadAddr(s.to_string()));
+                return Err(bad());
             }
             return Ok(Addr::InProc(name.to_string()));
         }
         if let Some(sa) = s.strip_prefix("tcp://") {
-            return sa
-                .parse::<SocketAddr>()
-                .map(Addr::Tcp)
-                .map_err(|_| NetError::BadAddr(s.to_string()));
+            return sa.parse::<SocketAddr>().map(Addr::Tcp).map_err(|_| bad());
         }
-        if let Some(name) = s.strip_prefix("shm://") {
-            if name.is_empty() {
-                return Err(NetError::BadAddr(s.to_string()));
-            }
-            return Ok(Addr::Shm(name.to_string()));
-        }
-        Err(NetError::BadAddr(s.to_string()))
+        Err(bad())
     }
 }
 
@@ -177,7 +166,6 @@ pub fn connect(addr: &Addr) -> Result<Connection, NetError> {
     match addr {
         Addr::InProc(name) => listener::inproc_connect(name),
         Addr::Tcp(sa) => conn::tcp_connect(*sa),
-        Addr::Shm(name) => conn::shm_connect(name),
     }
 }
 
@@ -227,13 +215,32 @@ mod tests {
         assert_eq!(a.to_string(), "inproc://stage-0");
         let t: Addr = "tcp://127.0.0.1:9000".parse().unwrap();
         assert_eq!(t.to_string(), "tcp://127.0.0.1:9000");
-        let s: Addr = "shm://stage-0".parse().unwrap();
-        assert_eq!(s, Addr::Shm("stage-0".into()));
-        assert_eq!(s.to_string(), "shm://stage-0");
-        assert!("shm://".parse::<Addr>().is_err());
+        assert!("shm://stage-0".parse::<Addr>().is_err());
         assert!("inproc://".parse::<Addr>().is_err());
         assert!("udp://x".parse::<Addr>().is_err());
         assert!("tcp://nonsense".parse::<Addr>().is_err());
+    }
+
+    #[test]
+    fn bad_addr_display_is_the_callers_message() {
+        let parse = "shm://stage-0".parse::<Addr>().unwrap_err();
+        assert_eq!(
+            parse.to_string(),
+            "unparseable address `shm://stage-0`: expected inproc://NAME or tcp://HOST:PORT"
+        );
+        let a: Addr = "inproc://bad-addr-display".parse().unwrap();
+        let _l = Listener::bind(&a).unwrap();
+        let Err(taken) = Listener::bind(&a) else {
+            panic!("second bind of {a} must fail");
+        };
+        assert_eq!(taken.to_string(), "inproc://bad-addr-display already bound");
+        let Err(not_tcp) = AsyncConnection::connect(&a) else {
+            panic!("async connect to {a} must fail");
+        };
+        assert_eq!(
+            not_tcp.to_string(),
+            "async connections are tcp-only, got `inproc://bad-addr-display`"
+        );
     }
 
     #[test]

@@ -92,9 +92,9 @@ pub(crate) fn spawn_io(std: std::net::TcpStream) -> io::Result<TcpParts> {
 /// One task can hold thousands of these — the soak harness drives 10k
 /// concurrently from a single process.
 ///
-/// TCP only (the in-process and shared-memory backends are served by
-/// the blocking facade), and the fault-injection seam is not consulted
-/// on this path: it exists for load generation, not chaos testing.
+/// TCP only (the in-process backend is served by the blocking facade),
+/// and the fault-injection seam is not consulted on this path: it
+/// exists for load generation, not chaos testing.
 pub struct AsyncConnection {
     outbound: mpsc::Sender<WriteItem>,
     inbound: mpsc::Receiver<Result<Bytes, NetError>>,
